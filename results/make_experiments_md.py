@@ -4,7 +4,7 @@ INTRO = """# EXPERIMENTS — paper vs. measured
 
 Every table and figure of the paper's evaluation (Section 6), regenerated
 with this repository's harness on the scaled synthetic suite (see
-DESIGN.md for the substitution rationale).  Absolute numbers are
+the README's substitution policy).  Absolute numbers are
 pure-Python on laptop-scale networks; the comparisons below therefore
 focus on *shape*: who wins, by roughly what factor, and where behaviour
 changes.  Raw panels live in `results/` and are reproducible with
@@ -48,7 +48,7 @@ travel time — the harness reports only populated buckets.
 3. **AH trails CH on short/mid-range queries** (the paper wins
    everywhere).  Two Python-specific constants dominate there: the
    per-relaxation proximity test and the fatter low levels produced by
-   tie-inclusive marking (DESIGN.md §4-5).  On the long-range buckets —
+   tie-inclusive marking (`repro.core.hierarchy`).  On the long-range buckets —
    the regime the paper headlines — AH's elevating edges skip those
    levels entirely and the paper's ordering is restored.  The ablation
    panel quantifies this: at 1k nodes the proximity check costs more

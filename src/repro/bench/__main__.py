@@ -14,7 +14,8 @@ Examples
     python -m repro.bench --summary
 
 Every sub-command prints the corresponding paper panel as text; redirect
-to a file to archive a run (EXPERIMENTS.md was produced this way).
+to a file to archive a run (``results/run_all.py`` does this for every
+panel; the README's *Datasets and experiments* lists the commands).
 ``--summary`` instead folds every committed ``BENCH_*.json`` into one
 perf-trajectory table (see :mod:`repro.bench.summary`).
 """

@@ -2,7 +2,8 @@
 
 Renders the paper's dataset table next to the generated suite's actual
 node/edge counts, plus basic network health (strong connectivity, max
-degree) so the substitution documented in DESIGN.md stays auditable.
+degree) so the substitution policy in the README (*Datasets and
+experiments*) stays auditable.
 """
 
 from __future__ import annotations

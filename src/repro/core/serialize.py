@@ -99,7 +99,14 @@ All flat sections move as whole-column ``tobytes`` blocks (loaded back
 with ``frombuffer`` under the numpy backend) — no per-entry ``struct``
 packing anywhere on the fast paths, and the same bytes regardless of
 which :mod:`repro.backend` produced the columns, so bundles are
-byte-identical and freely interchangeable between backends.
+byte-identical and freely interchangeable between backends.  The HL2
+varint/delta codec is vectorised under numpy (whole-column passes) and
+runs as pure-python loops without it; the pure loops are the
+byte-identical reference, so HL2 sections are the same bytes from
+either backend and decode to the same column types and values.  A
+malformed HL2 stream (bad varint, parent outside its slice, index past
+the delta dictionary, count mismatch, parent cycle) raises
+:class:`BundleCorrupted` at load on both paths.
 
 Buffer sources (the worker-tier substrate)
 ------------------------------------------
@@ -726,12 +733,29 @@ def _load_hl_body(fh: BinaryIO, graph: Graph) -> HubLabelIndex:
 # ----------------------------------------------------------------------
 # HL2: compact hub-label sections (varint streams + delta-dict dists)
 # ----------------------------------------------------------------------
-# Encode and decode are deliberately pure-Python loops over plain ints
-# and floats: both backends therefore produce (and accept) the exact
-# same bytes, preserving serialize's backend-invariance guarantee.  The
-# loops touch each label entry a constant number of times — tens of
-# milliseconds at the repo's benchmark scales, amortised over a bundle
-# that is ~3-4x smaller on disk, over every pipe, and in every mmap.
+# One format, two implementations.  Under the numpy backend the codec
+# runs as whole-column passes (the ``_np`` functions): uvarints from
+# per-value byte counts and shifts, hub deltas by segmented cumsum,
+# parent positions by ``searchsorted`` over ``(row, hub)`` keys, the
+# ``dd`` dictionary by ``unique`` + ``lexsort``, and ``dd`` distances
+# resolved one parent-forest level at a time.  The pure loops are the
+# only path without numpy and the reference the numpy passes are held
+# to: both write the same bytes, decode to the same column types and
+# values (every decoded distance is the same single float64 addition),
+# and make the same checks.  A malformed stream raises
+# ``BundleCorrupted("HLIDX2", ...)`` once, at load, so the query loops
+# never see it.
+
+#: Every HL2 stream value lands in (or indexes) an int32 column, so a
+#: uvarint past five bytes or 2^31 - 1 can only come from a bad stream.
+_HL2_MAX = 0x7FFFFFFF
+_HL2_VARINT_BYTES = 5
+
+
+def _hl2_corrupt(detail: str) -> BundleCorrupted:
+    return BundleCorrupted("HLIDX2", detail)
+
+
 def _uvarint_append(out: bytearray, value: int) -> None:
     while value > 0x7F:
         out.append((value & 0x7F) | 0x80)
@@ -739,17 +763,21 @@ def _uvarint_append(out: bytearray, value: int) -> None:
     out.append(value)
 
 
-def _uvarint_decode(buf) -> List[int]:
+def _uvarint_decode(buf, max_bytes: int = 10) -> List[int]:
     """Every uvarint in ``buf`` (the streams are framed, so bounds are
-    known); one flat pass, no per-value function calls."""
+    known); one flat pass, no per-value function calls.  A value longer
+    than ``max_bytes`` is rejected rather than grown without bound."""
     out: List[int] = []
     append = out.append
     value = 0
     shift = 0
+    limit = 7 * max_bytes
     for b in buf:
         if b & 0x80:
             value |= (b & 0x7F) << shift
             shift += 7
+            if shift >= limit:
+                raise ValueError("overlong uvarint")
         else:
             append(value | (b << shift))
             value = 0
@@ -757,6 +785,61 @@ def _uvarint_decode(buf) -> List[int]:
     if shift:
         raise ValueError("truncated uvarint stream")
     return out
+
+
+def _uvarint_encode_np(values) -> bytes:
+    """Canonical uvarints of a non-negative int64 column.
+
+    Builds a ``(value, byte)`` matrix of 7-bit groups with continuation
+    bits, then keeps each row's first ``nbytes`` cells in row order —
+    one pass per byte of the widest value, not one per value.
+    """
+    np = backend.np
+    if not values.size:
+        return b""
+    if int(values.min()) < 0:
+        raise ValueError("uvarint of a negative value")
+    width = max(1, (int(values.max()).bit_length() + 6) // 7)
+    groups = np.empty((values.size, width), dtype=np.uint8)
+    keep = np.ones((values.size, width), dtype=bool)
+    for g in range(width):
+        high = values >> (7 * g)
+        groups[:, g] = high & 0x7F
+        if g:
+            keep[:, g] = high != 0
+            groups[:, g - 1] |= keep[:, g].view(np.uint8) << 7
+    return groups[keep].tobytes()
+
+
+def _uvarint_decode_np(buf):
+    """:func:`_uvarint_decode` as an int64 column, for HL2 streams.
+
+    Each value starts as its terminator byte (the highest 7-bit group);
+    then, while the byte before is a continuation byte, the value
+    shifts up and takes that byte's group below.  Only multi-byte
+    values take part after the first pass.
+    """
+    np = backend.np
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    if raw.size and raw[-1] & 0x80:
+        raise ValueError("truncated uvarint stream")
+    pos = np.flatnonzero(raw < 0x80)
+    values = raw[pos].astype(np.int64)
+    # raw[-1] is a terminator, so a walk off the front stops there.
+    pos -= 1
+    live = np.flatnonzero(raw[pos] & 0x80)
+    pos = pos[live]
+    for _ in range(_HL2_VARINT_BYTES - 1):
+        if not live.size:
+            break
+        values[live] = (values[live] << 7) | (raw[pos] & 0x7F)
+        pos -= 1
+        more = raw[pos] >= 0x80
+        live = live[more]
+        pos = pos[more]
+    if live.size:
+        raise ValueError("overlong uvarint")
+    return values
 
 
 def _write_blob(fh: BinaryIO, blob: bytes) -> None:
@@ -769,7 +852,29 @@ def _read_blob(fh):
     return _read_exact(fh, nbytes)
 
 
-def _encode_dists(dists: list, parent_pos: list) -> Tuple[int, bytes]:
+def _read_hl2_stream(fh, expect: int, what: str, bound: int = _HL2_MAX + 1):
+    """One framed HL2 uvarint stream of exactly ``expect`` values, each
+    below ``bound``: an int64 column under numpy, else a list."""
+    blob = _read_blob(fh)
+    try:
+        if backend.use_numpy():
+            values = _uvarint_decode_np(blob)
+            top = int(values.max()) if values.size else 0
+        else:
+            values = _uvarint_decode(blob, _HL2_VARINT_BYTES)
+            top = max(values, default=0)
+    except ValueError as exc:
+        raise _hl2_corrupt(f"{what} stream: {exc}") from None
+    if len(values) != expect:
+        raise _hl2_corrupt(
+            f"{what} stream holds {len(values)} values, expected {expect}"
+        )
+    if top >= bound:
+        raise _hl2_corrupt(f"{what} stream: value {top} is not below {bound}")
+    return values
+
+
+def _encode_dists(dists, parent_pos) -> Tuple[int, bytes]:
     """Pick the narrowest *exact* distance encoding and build its payload.
 
     Guard order: ``i4`` when every distance is a non-negative integral
@@ -778,8 +883,11 @@ def _encode_dists(dists: list, parent_pos: list) -> Tuple[int, bytes]:
     distance bit-exactly equals its parent entry's distance plus a
     float64 delta — verified here value by value, never assumed; else
     the raw ``f8`` fallback.  Deterministic, so save -> load -> save is
-    byte-identical.
+    byte-identical.  ``parent_pos`` holds each entry's absolute parent
+    index (-1 for a root).
     """
+    if backend.use_numpy():
+        return _encode_dists_np(dists, parent_pos)
     i4_ok = True
     for d in dists:
         if not (0 <= d <= 0x7FFFFFFF and d == int(d)):
@@ -807,12 +915,52 @@ def _encode_dists(dists: list, parent_pos: list) -> Tuple[int, bytes]:
         idx_stream = bytearray()
         for delta in deltas:
             _uvarint_append(idx_stream, lookup[delta])
-        payload = struct.pack("<q", len(values))
-        payload += array("d", values).tobytes()
-        payload += struct.pack("<q", len(idx_stream)) + bytes(idx_stream)
+        payload = _dd_payload(array("d", values).tobytes(), idx_stream)
         return _DIST_DD, payload
 
     return _DIST_F8, array("d", (float(d) for d in dists)).tobytes()
+
+
+def _dd_payload(values: bytes, idx_stream) -> bytes:
+    return (
+        struct.pack("<q", len(values) // 8)
+        + values
+        + struct.pack("<q", len(idx_stream))
+        + bytes(idx_stream)
+    )
+
+
+def _encode_dists_np(dists, parent_pos) -> Tuple[int, bytes]:
+    """:func:`_encode_dists` as whole-column passes (same bytes)."""
+    np = backend.np
+    d = np.asarray(dists, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        if ((d >= 0) & (d <= 0x7FFFFFFF) & (d == np.floor(d))).all():
+            return _DIST_I4, d.astype("<i4").tobytes()
+        parent_pos = np.asarray(parent_pos, dtype=np.int64)
+        dp = d[parent_pos]
+        dp[parent_pos < 0] = 0.0
+        deltas = d - dp
+        dp += deltas  # the reconstruction the decoder will compute
+        exact = bool((dp == d).all())
+    del dp
+    if not exact:
+        return _DIST_F8, d.astype("<f8").tobytes()
+    values, inverse, freq = np.unique(
+        deltas, return_inverse=True, return_counts=True
+    )
+    zero = np.flatnonzero(values == 0.0)
+    if zero.size:
+        # 0.0 and -0.0 share one dict slot; the pure dict keeps the
+        # first one seen, so the stored value is the first zero delta.
+        values[zero[0]] = deltas[np.argmax(deltas == 0.0)]
+    del deltas
+    order = np.lexsort((values, -freq))  # (-freq, value), as the pure sort
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    idx_stream = _uvarint_encode_np(rank[inverse.ravel()])
+    payload = _dd_payload(values[order].astype("<f8").tobytes(), idx_stream)
+    return _DIST_DD, payload
 
 
 def _encode_label_side(head, hub, dist, parent) -> Tuple[int, int, bytes, bytes, bytes, bytes]:
@@ -825,6 +973,8 @@ def _encode_label_side(head, hub, dist, parent) -> Tuple[int, int, bytes, bytes,
     pruning invariant guarantees exist (every kept hub's search-tree
     parent is itself a kept hub).
     """
+    if backend.use_numpy():
+        return _encode_label_side_np(head, hub, dist, parent)
     heads = head.tolist()
     hubs = hub.tolist()
     dists = dist.tolist()
@@ -866,76 +1016,244 @@ def _encode_label_side(head, hub, dist, parent) -> Tuple[int, int, bytes, bytes,
     )
 
 
+def _encode_label_side_np(head, hub, dist, parent):
+    """:func:`_encode_label_side` as whole-column passes (same bytes).
+
+    Each stream is encoded as soon as its column is ready and the
+    column dropped, and index arithmetic runs in place: on a large
+    index every count-sized temporary is megabytes of fresh pages.
+    """
+    np = backend.np
+    head = np.asarray(head, dtype=np.int64)
+    hub = np.asarray(hub, dtype=np.int64)
+    parent = np.asarray(parent, dtype=np.int64)
+    n = head.size - 1
+    count = hub.size
+    lengths = np.diff(head)
+    codes = np.empty(count, dtype=np.int64)
+    np.subtract(hub[1:], hub[:-1], out=codes[1:])
+    codes[1:] -= 1
+    starts = head[:-1][lengths > 0]
+    codes[starts] = hub[starts]
+    hub_stream = _uvarint_encode_np(codes)
+
+    # Hubs ascend within a row, so (row, hub) keys ascend globally and
+    # one searchsorted finds every parent inside its own row's slice.
+    span = int(hub.max()) + 1 if count else 1
+    keys = np.repeat(np.arange(n, dtype=np.int64) * span, lengths)
+    want = np.clip(parent, 0, span)
+    want += keys
+    keys += hub
+    pos = np.searchsorted(keys, want)
+    np.minimum(pos, count - 1, out=pos)  # a miss past the end stays a miss
+    has = parent >= 0
+    if count and not (~has | ((parent < span) & (keys[pos] == want))).all():
+        raise ValueError(
+            "label parent outside its node's label slice; cannot compact"
+        )
+    del keys, want
+    parent_pos = np.where(has, pos, -1)
+    codes = pos  # 1-based position inside the row, 0 for a root
+    codes -= np.repeat(head[:-1], lengths)
+    codes += 1
+    codes[~has] = 0
+    del pos, has
+    parent_stream = _uvarint_encode_np(codes)
+    del codes
+    enc, dist_payload = _encode_dists_np(dist, parent_pos)
+    lengths_stream = _uvarint_encode_np(lengths)
+    return enc, count, lengths_stream, hub_stream, parent_stream, dist_payload
+
+
+def _read_hl2_header(fh) -> Tuple[int, int]:
+    enc, count = struct.unpack("<Bq", _read_exact(fh, 9))
+    if enc not in _DIST_ENC_NAMES:
+        raise _hl2_corrupt(f"unknown distance encoding {enc}")
+    if not 0 <= count <= _HL2_MAX:
+        raise _hl2_corrupt(f"entry count {count} out of range")
+    return enc, count
+
+
+def _read_hl2_flat_dists(fh, enc: int, count: int) -> array:
+    """The ``i4`` / ``f8`` distance column (raw, no resolution)."""
+    if enc == _DIST_I4:
+        return _read_i32_array(fh, count)
+    return _read_d_array(fh, count)
+
+
+def _read_dd_head(fh, count: int):
+    """The ``dd`` dictionary and its per-entry index stream."""
+    (size,) = struct.unpack("<q", _read_exact(fh, 8))
+    if not 0 <= size <= count:
+        raise _hl2_corrupt(f"delta dictionary size {size} out of range")
+    values = _read_d_array(fh, size)
+    return values, _read_hl2_stream(fh, count, "delta index", bound=size)
+
+
 def _decode_label_side(fh, n: int) -> Tuple:
     """One HL2 direction -> ``(head, hub, dist, parent, enc)`` columns.
 
     ``head``/``hub``/``parent`` come back as int32 stdlib arrays (the
     compact query domain); ``dist`` as int32 for ``i4`` sections and
     float64 for ``dd``/``f8`` — in all cases holding the exact values
-    the flat columns held.
+    the flat columns held.  Both paths check that the streams agree
+    with the counts, that hubs lie below ``n``, that every parent sits
+    in its node's slice, that each root entry is its own node and that
+    parents form no cycle — so a parent walk always ends at its node.
     """
-    enc, count = struct.unpack("<Bq", _read_exact(fh, 9))
-    lengths = _uvarint_decode(_read_blob(fh))
-    if len(lengths) != n:
-        raise ValueError("HL2 lengths stream does not match the node count")
-    hub_codes = _uvarint_decode(_read_blob(fh))
-    parent_codes = _uvarint_decode(_read_blob(fh))
-    if len(hub_codes) != count or len(parent_codes) != count:
-        raise ValueError("HL2 label streams do not match the entry count")
-    head = array("i", bytes(4 * (n + 1)))
-    hub = array("i", bytes(4 * count))
-    parent = array("i", bytes(4 * count))
+    if backend.use_numpy():
+        return _decode_label_side_np(fh, n)
+    enc, count = _read_hl2_header(fh)
+    lengths = _read_hl2_stream(fh, n, "lengths")
+    hub_codes = _read_hl2_stream(fh, count, "hubs")
+    parent_codes = _read_hl2_stream(fh, count, "parents")
+    if sum(lengths) != count:
+        raise _hl2_corrupt("lengths disagree with the entry count")
+    heads = [0] * (n + 1)
+    hubs = [0] * count
+    parents = [-1] * count
     pabs = [-1] * count  # absolute parent index, for delta resolution
     pos = 0
     for u, ln in enumerate(lengths):
         base = pos
-        prev = 0
-        for j in range(ln):
-            code = hub_codes[pos]
-            prev = code if j == 0 else prev + code + 1
-            hub[pos] = prev
-            pos += 1
-        head[u + 1] = pos
+        prev = -1
+        for k in range(base, base + ln):
+            prev += hub_codes[k] + 1
+            hubs[k] = prev
+        pos = base + ln
+        heads[u + 1] = pos
         for k in range(base, pos):
             code = parent_codes[k]
             if code:
+                if code > ln:
+                    raise _hl2_corrupt(
+                        "parent position outside its node's label slice"
+                    )
                 pabs[k] = base + code - 1
-                parent[k] = hub[base + code - 1]
-            else:
-                parent[k] = -1
-    if pos != count:
-        raise ValueError("HL2 lengths disagree with the entry count")
-
-    if enc == _DIST_I4:
-        dist = _read_i32_array(fh, count)
-    elif enc == _DIST_F8:
-        dist = _read_d_array(fh, count)
-    elif enc == _DIST_DD:
-        (dsize,) = struct.unpack("<q", _read_exact(fh, 8))
-        values = _read_d_array(fh, dsize).tolist()
-        codes = _uvarint_decode(_read_blob(fh))
-        if len(codes) != count:
-            raise ValueError("HL2 delta indexes do not match the entry count")
-        dist = array("d", bytes(8 * count))
-        done = bytearray(count)
-        for k in range(count):
-            if done[k]:
-                continue
-            chain = [k]
-            x = pabs[k]
-            while x >= 0 and not done[x]:
-                chain.append(x)
-                x = pabs[x]
-                if len(chain) > count:
-                    raise ValueError("HL2 parent positions form a cycle")
-            for j in reversed(chain):
-                p = pabs[j]
-                dp = dist[p] if p >= 0 else 0.0
-                dist[j] = dp + values[codes[j]]
-                done[j] = 1
+                parents[k] = hubs[base + code - 1]
+            elif hubs[k] != u:
+                raise _hl2_corrupt("label root is not its own node")
+    if hubs and max(hubs) >= n:
+        raise _hl2_corrupt("hub id past the node count")
+    order = _parent_order(pabs)  # raises on a parent cycle
+    if enc == _DIST_DD:
+        values, codes = _read_dd_head(fh, count)
+        values = values.tolist()
+        dists = [0.0] * count
+        for k in order:
+            p = pabs[k]
+            dp = dists[p] if p >= 0 else 0.0
+            dists[k] = dp + values[codes[k]]
+        dist = array("d", dists)
     else:
-        raise ValueError(f"unknown HL2 distance encoding {enc}")
-    return head, hub, dist, parent, enc
+        dist = _read_hl2_flat_dists(fh, enc, count)
+    return array("i", heads), array("i", hubs), dist, array("i", parents), enc
+
+
+def _parent_order(pabs: List[int]) -> List[int]:
+    """Every entry, parents before children; raises on a parent cycle."""
+    count = len(pabs)
+    order: List[int] = []
+    done = bytearray(count)
+    for k in range(count):
+        if done[k]:
+            continue
+        chain = [k]
+        x = pabs[k]
+        while x >= 0 and not done[x]:
+            chain.append(x)
+            x = pabs[x]
+            if len(chain) > count:
+                raise _hl2_corrupt("parent positions form a cycle")
+        for j in reversed(chain):
+            done[j] = 1
+            order.append(j)
+    return order
+
+
+def _parent_levels_np(pabs) -> list:
+    """Entry indexes level by level down the parent forest, roots first.
+
+    Each round takes the pending entries whose parent is already done;
+    a round that takes none leaves only entries on or below a cycle.
+    """
+    np = backend.np
+    done = pabs < 0
+    levels = [np.flatnonzero(done)]
+    pending = np.flatnonzero(~done)
+    while pending.size:
+        ready = done[pabs[pending]]
+        level = pending[ready]
+        if not level.size:
+            raise _hl2_corrupt("parent positions form a cycle")
+        done[level] = True
+        levels.append(level)
+        pending = pending[~ready]
+    return levels
+
+
+def _i32_array(col) -> array:
+    """An ``array('i')`` holding ``col``'s values, filled in place."""
+    out = array("i", [0]) * len(col)
+    backend.np.frombuffer(out, dtype=backend.np.int32)[:] = col
+    return out
+
+
+def _decode_label_side_np(fh, n: int) -> Tuple:
+    """:func:`_decode_label_side` as whole-column passes: the same
+    checks, the same column types, bit-identical values.  Index
+    arithmetic runs in place and each column becomes its int32 array as
+    soon as it is final, to keep the count-sized temporaries few."""
+    np = backend.np
+    enc, count = _read_hl2_header(fh)
+    lengths = _read_hl2_stream(fh, n, "lengths")
+    hub = _read_hl2_stream(fh, count, "hubs")
+    parent_codes = _read_hl2_stream(fh, count, "parents")
+    if int(lengths.sum()) != count:
+        raise _hl2_corrupt("lengths disagree with the entry count")
+    head = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=head[1:])
+    # hub[k] = run[k] - run[s - 1] - 1 for row start s, where run is the
+    # running sum of (code + 1) and run[-1] = 0: first code absolute,
+    # then delta - 1.
+    hub += 1
+    np.cumsum(hub, out=hub)
+    nonempty = lengths > 0
+    starts = head[:-1][nonempty]
+    base = hub[starts - 1] + 1
+    base[:1] = 1  # the first non-empty row starts at entry 0
+    hub -= np.repeat(base, lengths[nonempty])
+    if count and int(hub.max()) >= n:
+        raise _hl2_corrupt("hub id past the node count")
+    if count and (
+        np.maximum.reduceat(parent_codes, starts) > lengths[nonempty]
+    ).any():
+        raise _hl2_corrupt("parent position outside its node's label slice")
+    roots = parent_codes == 0
+    rows = np.searchsorted(head, np.flatnonzero(roots), side="right") - 1
+    if (hub[roots] != rows).any():
+        raise _hl2_corrupt("label root is not its own node")
+    pabs = parent_codes  # absolute parent index, -1 for a root
+    pabs += np.repeat(head[:-1], lengths)
+    pabs -= 1
+    pabs[roots] = -1
+    parent = _i32_array(hub[pabs])
+    np.frombuffer(parent, dtype=np.int32)[roots] = -1
+    hub = _i32_array(hub)
+    levels = _parent_levels_np(pabs)  # raises on a parent cycle
+    if enc == _DIST_DD:
+        values, codes = _read_dd_head(fh, count)
+        deltas = np.frombuffer(values, dtype=np.float64)[codes]
+        del codes
+        dist = array("d", [0.0]) * count
+        dists = np.frombuffer(dist, dtype=np.float64)
+        dists[roots] = 0.0 + deltas[roots]  # the pure path's 0.0 + delta
+        for level in levels[1:]:
+            dists[level] = dists[pabs[level]] + deltas[level]
+        del dists  # releases the buffer export on ``dist``
+    else:
+        dist = _read_hl2_flat_dists(fh, enc, count)
+    return _i32_array(head), hub, dist, parent, enc
 
 
 # ----------------------------------------------------------------------

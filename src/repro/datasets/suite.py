@@ -2,9 +2,10 @@
 
 The paper's datasets are ten DIMACS USA road networks from 48 k to 24 M
 nodes.  A pure-Python reproduction cannot index 24 M nodes in reasonable
-time, so — per the substitution policy in DESIGN.md — we keep the paper's
-*names* and *relative ladder* (each dataset roughly doubles the previous)
-but compress the absolute sizes to laptop scale.  Every dataset is a
+time, so — per the substitution policy in the README's *Datasets and
+experiments* — we keep the paper's *names* and *relative ladder* (each
+dataset roughly doubles the previous) but compress the absolute sizes
+to laptop scale.  Every dataset is a
 :func:`repro.datasets.synthetic.towns_and_highways` network, the family
 that most closely mirrors real road structure (dense local meshes joined
 by sparse fast highways).
@@ -114,7 +115,7 @@ def suite_table(names: List[str] = None) -> str:
     """Render the Table-2 analogue for the generated suite.
 
     Columns: name, region, paper n/m, generated n/m.  Used by the
-    ``table2`` benchmark and by EXPERIMENTS.md.
+    ``table2`` benchmark.
     """
     rows = [
         f"{'Name':<6} {'Region':<22} {'paper n':>10} {'paper m':>10} "

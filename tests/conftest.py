@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.baselines import CHEngine
 from repro.core import AHIndex, FCIndex
 from repro.datasets import grid_city, paper_figure1, random_geometric, towns_and_highways
+from repro.graph import GraphBuilder
 from repro.graph.traversal import distance_query
 
 
@@ -102,3 +104,60 @@ def assert_engine_matches_dijkstra(engine, graph, pairs, check_paths=True):
             assert path is not None
             path.validate(graph)
             assert path.length == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def weighted_chain_graph(n, extra_edges, weights):
+    """Chain 0-1-...-n-1 plus extras; weights drawn by the caller."""
+    b = GraphBuilder()
+    for u in range(n):
+        b.add_node(float(u), 0.0)
+    wit = iter(weights)
+    for u in range(n - 1):
+        b.add_bidirectional_edge(u, u + 1, next(wit))
+    for u, v in extra_edges:
+        if u != v and not b.has_edge(u, v):
+            b.add_bidirectional_edge(u, v, next(wit))
+    return b.build()
+
+
+@st.composite
+def guard_case(draw):
+    """``(n, extra_edges, weights)`` for :func:`weighted_chain_graph`, in
+    one of the HL2 exactness guard's weight classes: small integers
+    (``i4``), integers scaled past the int32 boundary and fractions
+    (both ``dd``)."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    extras = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1)
+            ),
+            max_size=6,
+        )
+    )
+    kind = draw(st.sampled_from(["int", "huge", "float"]))
+    need = (n - 1) + len(extras)
+    if kind == "int":
+        weights = draw(
+            st.lists(
+                st.integers(1, 60).map(float), min_size=need, max_size=need
+            )
+        )
+    elif kind == "huge":
+        # scaled so multi-hop distances cross the int32 boundary
+        weights = draw(
+            st.lists(
+                st.integers(1, 60).map(lambda w: float(w * 2**28)),
+                min_size=need,
+                max_size=need,
+            )
+        )
+    else:
+        weights = draw(
+            st.lists(
+                st.integers(1, 997).map(lambda w: w / 7.0),
+                min_size=need,
+                max_size=need,
+            )
+        )
+    return n, extras, weights

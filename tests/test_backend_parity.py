@@ -12,10 +12,13 @@ A deterministic companion pins the serialize guarantee: bundles written
 under either backend are byte-for-byte identical.
 """
 
+import copy
 import io
 import random
+from array import array
 
 import pytest
+from conftest import guard_case, weighted_chain_graph
 
 from repro import backend
 
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 from repro.baselines import HubLabelIndex
 from repro.bench.harness import ENGINE_FACTORIES
 from repro.core import perturb_weights
-from repro.core.serialize import load_bundle, save_bundle
+from repro.core.serialize import bundle_bytes, load_bundle, save_bundle
 from repro.datasets import grid_city
 from repro.graph.builder import GraphBuilder
 
@@ -154,34 +157,83 @@ def test_hl_batched_kernels_match_pure_scan(rows, cols, seed):
     assert fast_table == pure_table
 
 
+#: The label columns a loaded index queries through.
+_LABEL_COLS = tuple(
+    f"{side}_{col}"
+    for side in ("fwd", "bwd")
+    for col in ("head", "hub", "dist", "parent")
+)
+
+
+def _inexact_twin(index):
+    """A copy of ``index`` whose distances defeat the ``dd`` guard.
+
+    Roots sit at 1e16 and every other entry at 3.0, so
+    ``1e16 + (3.0 - 1e16) != 3.0`` and only a raw ``f8`` section is
+    exact.  Answers are meaningless; only the codec runs on it.
+    """
+    twin = copy.copy(index)
+    for side in ("fwd", "bwd"):
+        parents = getattr(index, f"{side}_parent").tolist()
+        dists = array("d", (1e16 if p < 0 else 3.0 for p in parents))
+        setattr(twin, f"{side}_dist", dists)
+    return twin
+
+
+def _decoded(blob):
+    """``blob`` loaded under the active backend: each label column's
+    container type, format and bytes, plus the dist encodings.  Also
+    checks that re-saving the loaded index reproduces ``blob``."""
+    _, index = load_bundle(blob)
+    assert bundle_bytes(index) == blob
+    cols = tuple(
+        (type(col), memoryview(col).format, bytes(col))
+        for col in (getattr(index, name) for name in _LABEL_COLS)
+    )
+    return cols, index.dist_encoding
+
+
 @settings(
     max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(seed=st.integers(0, 2**31 - 1))
-def test_bundles_byte_identical_across_backends(seed):
+@given(seed=st.integers(0, 2**31 - 1), case=guard_case())
+def test_bundles_byte_identical_across_backends(seed, case):
     """serialize's backend-invariance guarantee, property-tested.
 
     Both the compact (HL2) default and the flat (HL1) fallback must
-    produce the same bytes no matter which backend built the index —
-    the varint/delta encoders run the same pure loops either way.
+    produce the same bytes no matter which backend built the index:
+    the numpy codec passes are held to the pure loops byte for byte.
+    Every compact blob must then decode to the same label columns
+    (bytes and container types) and ``dist_encoding`` under either
+    backend.  The indexes cover every distance encoding: the perturbed
+    grid and the guard's weight classes give ``dd`` and ``i4``, and an
+    inexact twin gives ``f8``.
     """
     spec = _graph_spec(3, 4, seed)
-    compact_blobs, flat_blobs = {}, {}
+    n, extras, weights = case
+    blobs = {}
     for name in ("pure", "numpy"):
-        graph = _build(spec, name)
         with backend.forced(name):
-            hl = HubLabelIndex(graph)
-            buf = io.BytesIO()
-            save_bundle(hl, buf)
-            compact_blobs[name] = buf.getvalue()
-            buf = io.BytesIO()
-            save_bundle(hl, buf, compact=False)
-            flat_blobs[name] = buf.getvalue()
-    assert compact_blobs["pure"] == compact_blobs["numpy"]
-    assert flat_blobs["pure"] == flat_blobs["numpy"]
-    assert compact_blobs["pure"] != flat_blobs["pure"]  # formats differ
+            grid = HubLabelIndex(_build(spec, name))
+            guard = HubLabelIndex(weighted_chain_graph(n, extras, weights))
+            blobs[name] = [
+                (bundle_bytes(index), bundle_bytes(index, compact=False))
+                for index in (grid, guard, _inexact_twin(guard))
+            ]
+    assert blobs["pure"] == blobs["numpy"]
+    encodings = set()
+    for compact, flat in blobs["pure"]:
+        assert compact != flat  # formats differ
+        decoded = {}
+        for name in ("pure", "numpy"):
+            with backend.forced(name):
+                decoded[name] = _decoded(compact)
+        assert decoded["pure"] == decoded["numpy"]
+        encodings.update(decoded["pure"][1])
+    assert "f8" in encodings
+
 
 #: Kernel tiers available in this process, fastest first.
 _TIERS = (["native"] if backend.HAS_NATIVE else []) + ["numpy", "pure"]

@@ -23,10 +23,12 @@ What must hold:
 
 import io
 import random
+import struct
+from array import array
 
 import pytest
+from conftest import guard_case, weighted_chain_graph
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import backend
 from repro.baselines import HubLabelIndex
@@ -34,6 +36,7 @@ from repro.core.serialize import (
     _DIST_DD,
     _DIST_F8,
     _DIST_I4,
+    BundleCorrupted,
     _encode_dists,
     _encode_label_side,
     bundle_bytes,
@@ -183,79 +186,119 @@ def test_guard_inexact_delta_falls_back_to_f8():
     assert len(payload) == 8 * 2
 
 
-def test_encode_side_rejects_parent_outside_slice():
-    from array import array
-
+@pytest.mark.parametrize("name", BACKENDS)
+def test_encode_side_rejects_parent_outside_slice(name):
     head = array("q", [0, 1])
     hub = array("q", [2])
     dist = array("d", [1.0])
     parent = array("q", [5])  # hub 5 is not in node 0's label slice
-    with pytest.raises(ValueError, match="parent outside"):
+    with backend.forced(name), pytest.raises(ValueError, match="parent outside"):
         _encode_label_side(head, hub, dist, parent)
 
 
 # ----------------------------------------------------------------------
-# The exactness guard, property-level (the ISSUE's hypothesis pin)
+# Malformed HL2 side streams: typed errors at load, on every backend
 # ----------------------------------------------------------------------
-def _weighted_graph(n, extra_edges, weights):
-    """Chain 0-1-...-n-1 plus extras; weights drawn by the caller."""
+def _framed(payload: bytes) -> bytes:
+    return struct.pack("<q", len(payload)) + payload
+
+
+def _dd(values=(0.0, 2.5), idx=b"\x00\x01\x00", size=None):
+    size = len(values) if size is None else size
+    return struct.pack("<q", size) + array("d", values).tobytes() + _framed(idx)
+
+
+def _side(
+    enc=_DIST_DD,
+    count=3,
+    lengths=b"\x02\x01",
+    hubs=b"\x00\x00\x01",
+    parents=b"\x00\x01\x00",
+    dists=None,
+):
+    """One crafted HL2 direction of a 2-node graph.
+
+    The defaults are valid: node 0 holds hubs 0 and 1 (hub 1's parent
+    is hub 0), node 1 holds hub 1 alone; ``dd`` distances 0, 2.5, 0.
+    """
+    return (
+        struct.pack("<Bq", enc, count)
+        + _framed(lengths)
+        + _framed(hubs)
+        + _framed(parents)
+        + (_dd() if dists is None else dists)
+    )
+
+
+def _hl2_file(side: bytes) -> bytes:
+    """An HLIDX2 index with ``side`` as both directions, no middles."""
+    return b"HLIDX2\n" + struct.pack("<q", 2) + side + side + struct.pack("<q", 0)
+
+
+@pytest.fixture(scope="module")
+def pair_graph():
     b = GraphBuilder()
-    for u in range(n):
-        b.add_node(float(u), 0.0)
-    wit = iter(weights)
-    for u in range(n - 1):
-        b.add_bidirectional_edge(u, u + 1, next(wit))
-    for u, v in extra_edges:
-        if u != v and not b.has_edge(u, v):
-            b.add_bidirectional_edge(u, v, next(wit))
+    b.add_node(0.0, 0.0)
+    b.add_node(1.0, 0.0)
+    b.add_bidirectional_edge(0, 1, 2.5)
     return b.build()
 
 
-@st.composite
-def _guard_case(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
-    extras = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, n - 1)
-            ),
-            max_size=6,
-        )
-    )
-    kind = draw(st.sampled_from(["int", "huge", "float"]))
-    need = (n - 1) + len(extras)
-    if kind == "int":
-        weights = draw(
-            st.lists(
-                st.integers(1, 60).map(float), min_size=need, max_size=need
-            )
-        )
-    elif kind == "huge":
-        # scaled so multi-hop distances cross the int32 boundary
-        weights = draw(
-            st.lists(
-                st.integers(1, 60).map(lambda w: float(w * 2**28)),
-                min_size=need,
-                max_size=need,
-            )
-        )
-    else:
-        weights = draw(
-            st.lists(
-                st.integers(1, 997).map(lambda w: w / 7.0),
-                min_size=need,
-                max_size=need,
-            )
-        )
-    return n, extras, weights
+_CYCLE = b"\x02\x01\x00"  # entry 0's parent is entry 1 and vice versa
+
+#: Each crafted side must fail with BundleCorrupted, never IndexError,
+#: OverflowError or a silently wrong column.
+MALFORMED_SIDES = {
+    "truncated_varint": dict(hubs=b"\x00\x00\x81"),
+    "overlong_varint": dict(hubs=b"\x00\x00\x81\x80\x80\x80\x80\x00"),
+    "varint_past_int32": dict(hubs=b"\x00\x00\xff\xff\xff\xff\x0f"),
+    "hub_past_node_count": dict(hubs=b"\x00\x00\x05"),
+    "parent_past_slice": dict(parents=b"\x00\x03\x00"),
+    "parent_past_count": dict(parents=b"\x00\x09\x00"),
+    "delta_index_out_of_range": dict(dists=_dd(idx=b"\x00\x02\x00")),
+    "delta_dict_past_count": dict(dists=_dd(size=9)),
+    "lengths_sum_mismatch": dict(lengths=b"\x02\x02"),
+    "lengths_node_count_mismatch": dict(lengths=b"\x02\x01\x00"),
+    "streams_count_mismatch": dict(count=4),
+    "negative_count": dict(count=-1),
+    "unknown_encoding": dict(enc=7),
+    "root_not_own_node": dict(hubs=b"\x00\x00\x00"),
+    "parent_cycle_dd": dict(parents=_CYCLE),
+    "parent_cycle_i4": dict(
+        enc=_DIST_I4, parents=_CYCLE, dists=array("i", [0, 2, 0]).tobytes()
+    ),
+}
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_crafted_side_decodes(pair_graph, name):
+    with backend.forced(name):
+        index = load_hl_index(_hl2_file(_side()), pair_graph)
+    assert index.fwd_head.tolist() == [0, 2, 3]
+    assert index.fwd_hub.tolist() == [0, 1, 1]
+    assert index.fwd_parent.tolist() == [-1, 0, -1]
+    assert index.fwd_dist.tolist() == [0.0, 2.5, 0.0]
+    assert index.dist_encoding == ("dd", "dd")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SIDES))
+@pytest.mark.parametrize("name", BACKENDS)
+def test_malformed_side_raises_typed(pair_graph, name, case):
+    blob = _hl2_file(_side(**MALFORMED_SIDES[case]))
+    with backend.forced(name), pytest.raises(BundleCorrupted) as err:
+        load_hl_index(blob, pair_graph)
+    assert err.value.section == "HLIDX2"
+
+
+# ----------------------------------------------------------------------
+# The exactness guard, property-level (hypothesis-pinned)
+# ----------------------------------------------------------------------
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(case=_guard_case())
+@given(case=guard_case())
 def test_guard_never_changes_answers(case):
     """Whatever the weight class, the guard's choice is exact.
 
@@ -265,7 +308,7 @@ def test_guard_never_changes_answers(case):
     be bit-identical to the flat index's — on both backends.
     """
     n, extras, weights = case
-    g = _weighted_graph(n, extras, weights)
+    g = weighted_chain_graph(n, extras, weights)
     hl = HubLabelIndex(g)
 
     buf = io.BytesIO()
@@ -306,16 +349,16 @@ def test_guard_never_changes_answers(case):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(case=_guard_case())
+@given(case=guard_case())
 def test_compact_blobs_byte_identical_across_backends(case):
-    """The varint/delta encoders are pure loops — backend-invariant."""
+    """The numpy codec passes write the pure loops' bytes exactly."""
     if not backend.HAS_NUMPY:
         return
     n, extras, weights = case
     blobs = {}
     for name in BACKENDS:
         with backend.forced(name):
-            g = _weighted_graph(n, extras, weights)
+            g = weighted_chain_graph(n, extras, weights)
             hl = HubLabelIndex(g)
             buf = io.BytesIO()
             save_hl_index(hl, buf)
