@@ -1,55 +1,42 @@
-"""Perf + parity guard for the multi-process worker tier (PR 5).
+"""Perf + parity guard for the multi-process worker tier.
 
-Two A/Bs on ``NH``, both **parity-asserted before any clocks**:
+Three A/Bs on ``NH``, all **parity-asserted before any clocks**.
 
-* **Pool serving**: the ISSUE-4 skewed closed-loop workload served by a
-  4-worker :class:`repro.serve.pool.WorkerPool` behind the same
-  :class:`~repro.serve.Server`, against the PR 4 single-process server.
-  Pool results must be bit-identical to the single-process results
-  (which are themselves pinned bit-identical to per-query engine
-  calls).
-* **Parallel label build**: ``HubLabelIndex(build_workers=4)`` over a
-  shared contraction, against the verbatim serial build.  The flattened
-  label columns must be **byte-for-byte identical** (asserted on the
-  full serialized bundle) before the timings are recorded.
+**Pool serving**: the skewed closed-loop workload of
+``test_serve_speed.py`` served by a 4-worker
+:class:`repro.serve.pool.WorkerPool` behind the same
+:class:`~repro.serve.Server`, against the single-process server.  Pool
+results must be bit-identical to the single-process results (which are
+themselves pinned bit-identical to per-query engine calls).
 
 Results go to ``BENCH_pool.json`` with environment metadata *plus the
-visible CPU count* — the speedups here are hardware-gated in a way the
+visible CPU count* — the speedup here is hardware-gated in a way the
 single-process benches are not: on a 1-CPU container N workers
 time-share one core and the IPC is pure overhead, so the recorded
-ratio documents the machine as much as the code.  The ISSUE's
-acceptance bars (pool serving >= 2.5x, parallel build >= 2x, both with
-4 workers) are only reachable with >= 4 cores; the pytest guard
-therefore asserts parity, dispatch structure and crash-free operation
-unconditionally, and timing floors only when the box has enough cores
-to make them physical.
+ratio documents the machine as much as the code.  A pool win with 4
+workers is only reachable with >= 4 cores; the pytest guard therefore
+asserts parity, dispatch structure and crash-free operation
+unconditionally, and the timing floor only when the box has enough
+cores to make it physical.
 
-A third A/B (PR 6) compares the **reply transports**: the same workload
+The second A/B compares the **reply transports**: the same workload
 served once over shared-memory reply lanes and once over the plain
 pickle-over-pipe path.  Its headline metric — bytes moved over the
-reply pipes — is hardware-independent, so the ISSUE's >= 10x reduction
-bar is a *hard* assertion in every mode (the wall-clock delta stays
+reply pipes — is hardware-independent, so the >= 10x reduction bar is
+a *hard* assertion in every mode (the wall-clock delta stays
 CPU-gated like everything else), and the run verifies that no
 ``/dev/shm`` segment outlives its pool.
 
-PR 9 adds the two symmetric A/Bs:
-
-* **Request transports**: the same workload dispatched once through the
-  shared-memory request rings (packed REQCOL columns + ~60 B control
-  frames) and once over pickled-request pipes.  Request pipe bytes are
-  deterministic, so the >= 10x reduction bar is hard in every mode.
-* **Build pipeline**: ``HubLabelIndex(build_workers=4)`` barrier vs
-  pipelined sync fabric, byte-identity vs the serial build asserted on
-  both before any clock.  Sync bytes (pickled entry broadcasts vs
-  packed LBLCHUNK columns through the shared ring) are deterministic —
-  the >= 5x reduction bar is hard — while the pipelined-not-slower
-  wall-clock check stays CPU-gated.
+The third is its mirror on the dispatch side, the **request
+transports**: the same workload dispatched once through the
+shared-memory request rings (packed REQCOL columns + ~60 B control
+frames) and once over pickled-request pipes.  Request pipe bytes are
+deterministic, so the >= 10x reduction bar is hard in every mode.
 
 ``--check`` (CI, both backend legs): 2 workers, small workload, parity
-+ byte-identity + reply/request-path byte ratios + build-pipeline sync
-ratio + "every worker actually served" only — no timing.  Writes
-``BENCH_pool.check.json`` so the committed timing record is never
-clobbered by a CI reproduction.
++ reply/request-path byte ratios + "every worker actually served"
+only — no timing.  Writes ``BENCH_pool.check.json`` so the committed
+timing record is never clobbered by a CI reproduction.
 """
 
 from __future__ import annotations
@@ -57,13 +44,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
 from repro import backend
 from repro.baselines import DistanceCache, HubLabelIndex
-from repro.baselines.ch import contract_graph
 from repro.bench.harness import ServeRecord, environment_metadata, run_closed_loop
 from repro.core.serialize import bundle_bytes
 from repro.datasets import dataset
@@ -77,7 +62,6 @@ POOL_WORKERS = 4
 CLIENTS = 1000
 ROUNDS = 3
 REPEATS = 3
-BUILD_REPEATS = 3
 
 
 def visible_cpus() -> int:
@@ -218,65 +202,6 @@ def bench_request_path(blob, scripts, reference, requests, workers=POOL_WORKERS)
     }
 
 
-def bench_build_pipeline(graph, workers=POOL_WORKERS, repeats=BUILD_REPEATS):
-    """Barrier vs pipelined band-build sync fabric, one shared contraction.
-
-    Byte-identity of both builds against the serial bundle gates before
-    any clock.  Sync bytes are deterministic, so the >= 5x total
-    reduction bar (pickled acked entry broadcasts -> packed LBLCHUNK
-    columns through the shared ring) asserts here, hard, in every mode;
-    the wall-clock comparison is recorded always and asserted only by
-    the CPU-gated caller.
-    """
-    res = contract_graph(graph)
-    serial_bytes = bundle_bytes(HubLabelIndex(graph, contraction=res))
-
-    def _one(pipeline):
-        best_s = INF
-        info = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            built = HubLabelIndex(
-                graph,
-                contraction=res,
-                build_workers=workers,
-                build_pipeline=pipeline,
-            )
-            elapsed = time.perf_counter() - t0
-            assert bundle_bytes(built) == serial_bytes, (
-                f"{'pipelined' if pipeline else 'barrier'} build is not "
-                "byte-identical to the serial build"
-            )
-            if elapsed < best_s:
-                best_s, info = elapsed, built.build_info
-        return best_s, info
-
-    barrier_s, barrier_info = _one(False)
-    piped_s, piped_info = _one(True)
-    barrier_total = (
-        barrier_info["sync"]["shm_bytes"] + barrier_info["sync"]["pipe_bytes"]
-    )
-    piped_total = (
-        piped_info["sync"]["shm_bytes"] + piped_info["sync"]["pipe_bytes"]
-    )
-    ratio = barrier_total / max(1, piped_total)
-    assert ratio >= 5.0, (
-        f"packed-column sync moved only {ratio:.1f}x fewer bytes "
-        f"({barrier_total} -> {piped_total})"
-    )
-    return {
-        "workers": workers,
-        "byte_identical": True,
-        "barrier_s": round(barrier_s, 4),
-        "pipelined_s": round(piped_s, 4),
-        "pipelined_vs_barrier_speedup": round(barrier_s / piped_s, 3),
-        "sync_byte_reduction": round(ratio, 1),
-        "barrier_sync": barrier_info["sync"],
-        "pipelined_sync": piped_info["sync"],
-        "overlap_fraction": piped_info["sync"]["overlap_fraction"],
-    }
-
-
 def bench_serving(hl, blob, scripts, reference, requests, workers=POOL_WORKERS):
     """Pool vs single-process closed loop, best-of-``REPEATS`` each."""
     single_s = INF
@@ -327,47 +252,6 @@ def bench_serving(hl, blob, scripts, reference, requests, workers=POOL_WORKERS):
     }
 
 
-def bench_build(graph, workers=POOL_WORKERS):
-    """Serial vs band-parallel label build over one shared contraction.
-
-    The contraction is excluded from both sides (it is shared in
-    deployments that care — the ISSUE's 2x bar is about the label
-    phase); byte-identity of the full bundle is asserted before any
-    timing is recorded.
-    """
-    res = contract_graph(graph)
-    serial = HubLabelIndex(graph, contraction=res)
-    parallel = HubLabelIndex(graph, contraction=res, build_workers=workers)
-    assert bundle_bytes(serial) == bundle_bytes(parallel), (
-        "parallel-build labels are not byte-identical to the serial build"
-    )
-
-    serial_s = INF
-    for _ in range(BUILD_REPEATS):
-        t0 = time.perf_counter()
-        HubLabelIndex(graph, contraction=res)
-        serial_s = min(serial_s, time.perf_counter() - t0)
-    parallel_s = INF
-    build_info = None
-    for _ in range(BUILD_REPEATS):
-        t0 = time.perf_counter()
-        built = HubLabelIndex(graph, contraction=res, build_workers=workers)
-        elapsed = time.perf_counter() - t0
-        if elapsed < parallel_s:
-            parallel_s, build_info = elapsed, built.build_info
-    return {
-        "workers": workers,
-        "byte_identical": True,
-        "label_entries": serial.label_count,
-        "serial_label_s": round(serial_s, 4),
-        "parallel_label_s": round(parallel_s, 4),
-        "parallel_vs_serial_speedup": round(serial_s / parallel_s, 3),
-        "bands": build_info["bands"],
-        "largest_band": build_info["largest_band"],
-        "parent_built_nodes": build_info["parent_built_nodes"],
-    }
-
-
 def build_and_verify(clients=CLIENTS, rounds=ROUNDS):
     graph = dataset(DATASET)
     hl = HubLabelIndex(graph)
@@ -390,11 +274,11 @@ def build_and_verify(clients=CLIENTS, rounds=ROUNDS):
             "order pools, pareto endpoints)",
         },
     }
-    return graph, hl, blob, scripts, reference, clients * rounds, result
+    return hl, blob, scripts, reference, clients * rounds, result
 
 
 def run_benchmark():
-    graph, hl, blob, scripts, reference, requests, result = build_and_verify()
+    hl, blob, scripts, reference, requests, result = build_and_verify()
     cpus = visible_cpus()
     backends = {}
     names = (["numpy"] if backend.HAS_NUMPY else []) + ["pure"]
@@ -403,24 +287,17 @@ def run_benchmark():
             backends[backend.active()] = bench_serving(
                 hl, blob, scripts, reference, requests
             )
-    build = bench_build(graph)
-    build_pipeline = bench_build_pipeline(graph)
     reply = bench_reply_path(blob, scripts, reference, requests)
     request = bench_request_path(blob, scripts, reference, requests)
     headline = {
         "note": "pool = Server over a %d-worker WorkerPool (bundle-booted "
         "replicas, group-preserving dispatch, shared dispatcher cache); "
-        "single = the PR 4 one-process Server.  Parity asserted before "
-        "every clock; parallel-build labels byte-identical to serial.  "
-        "The speedups are hardware-gated: this box exposes %d CPU(s), "
-        "so N workers time-share and the ISSUE's multicore bars "
-        "(>= 2.5x serve, >= 2x build on 4 cores) are not physical here "
-        "— the recorded ratio is the honest 1-core cost of the IPC."
-        % (POOL_WORKERS, cpus),
+        "single = the one-process Server.  Parity asserted before "
+        "every clock.  The speedup is hardware-gated: this box exposes "
+        "%d CPU(s); with fewer CPUs than workers the workers time-share "
+        "and the recorded ratio is the cost of the IPC, not a multicore "
+        "result." % (POOL_WORKERS, cpus),
         "visible_cpus": cpus,
-        "build_parallel_vs_serial": build["parallel_vs_serial_speedup"],
-        "build_sync_byte_reduction": build_pipeline["sync_byte_reduction"],
-        "build_overlap_fraction": build_pipeline["overlap_fraction"],
         "reply_pipe_byte_reduction": reply["pipe_vs_shm_reply_pipe_byte_ratio"],
         "request_pipe_byte_reduction": request[
             "pipe_vs_shm_request_pipe_byte_ratio"
@@ -433,12 +310,10 @@ def run_benchmark():
         {
             "method": "closed-loop, best-of-%d per side, cold cache and "
             "fresh pool per served repeat, backends A/B'd in one process; "
-            "build best-of-%d over one shared contraction; reply "
-            "transports A/B'd on the identical workload" % (REPEATS, BUILD_REPEATS),
+            "reply and request transports A/B'd on the identical "
+            "workload" % REPEATS,
             "headline": headline,
             "serving": backends,
-            "parallel_build": build,
-            "build_pipeline": build_pipeline,
             "reply_path": reply,
             "request_path": request,
         }
@@ -448,7 +323,7 @@ def run_benchmark():
 
 def run_check(workers=2):
     """CI mode: parity + structure only — no timing, no flake."""
-    graph, hl, blob, scripts, reference, requests, result = build_and_verify(
+    hl, blob, scripts, reference, requests, result = build_and_verify(
         clients=200, rounds=2
     )
     checks = {}
@@ -471,36 +346,18 @@ def run_check(workers=2):
                 "mean_dispatch_imbalance": tier["mean_dispatch_imbalance"],
                 "respawns": tier["respawns"],
             }
-    # Parallel build byte-identity with the check-mode worker count
-    # (compact and flat images both).
-    res = contract_graph(graph)
-    serial = HubLabelIndex(graph, contraction=res)
-    parallel = HubLabelIndex(graph, contraction=res, build_workers=workers)
-    assert bundle_bytes(serial) == bundle_bytes(parallel)
-    assert bundle_bytes(serial, compact=False) == bundle_bytes(
-        parallel, compact=False
-    )
-    result["parallel_build"] = {
-        "workers": workers,
-        "byte_identical": True,
-        "bands": parallel.build_info["bands"],
-    }
     # Transport A/Bs: parity + the hard >= 10x pipe-byte bars on both
     # sides (byte counts are deterministic, so check mode gates them
-    # too), plus the pipelined-build sync fabric with the full 4-worker
-    # count (sync bytes are deterministic as well; timings untouched).
+    # too).
     result["reply_path"] = bench_reply_path(
         blob, scripts, reference, requests, workers=workers
     )
     result["request_path"] = bench_request_path(
         blob, scripts, reference, requests, workers=workers
     )
-    result["build_pipeline"] = bench_build_pipeline(
-        graph, workers=POOL_WORKERS, repeats=1
-    )
     result["mode"] = (
-        "check (parity + structure + reply/request-path byte ratios + "
-        "build-pipeline sync ratio; timings omitted)"
+        "check (parity + structure + reply/request-path byte ratios; "
+        "timings omitted)"
     )
     result["serving"] = checks
     return result
@@ -520,15 +377,13 @@ def write_json(result, path=None):
 def test_pool_speed():
     """Pool tier: exactness and structure always; timing only when physical.
 
-    Parity (pool == single-process == per-query) and build byte-identity
-    gate unconditionally.  Timing floors apply only on boxes with >= 4
-    visible CPUs, where the parallel ratios mean something; on smaller
+    Parity (pool == single-process == per-query) gates
+    unconditionally.  The timing floor applies only on boxes with >= 4
+    visible CPUs, where the pool ratio means something; on smaller
     boxes the run still records the honest numbers to BENCH_pool.json's
     shape without asserting them.
     """
     result = run_benchmark()
-    build = result["parallel_build"]
-    assert build["byte_identical"]
     for rec in result["serving"].values():
         assert rec["dispatch"]["dispatches"] > 0
         assert all(b > 0 for b in rec["dispatch"]["per_worker_batches"]), rec
@@ -539,17 +394,11 @@ def test_pool_speed():
     request = result["request_path"]
     assert request["pipe_vs_shm_request_pipe_byte_ratio"] >= 10.0, request
     assert request["no_leaked_segments"]
-    pipeline = result["build_pipeline"]
-    assert pipeline["byte_identical"]
-    assert pipeline["sync_byte_reduction"] >= 5.0, pipeline
     if result["visible_cpus"] >= POOL_WORKERS:
         # Deliberately conservative floors (the committed BENCH_pool.json
         # carries the real quiet-machine numbers).
         if backend.HAS_NUMPY:
             assert result["serving"]["numpy"]["pool_vs_single_speedup"] >= 1.5
-        assert build["parallel_vs_serial_speedup"] >= 1.3
-        # Overlapping sync with compute must not lose to the barrier.
-        assert pipeline["pipelined_s"] <= pipeline["barrier_s"], pipeline
 
 
 if __name__ == "__main__":

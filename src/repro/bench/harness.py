@@ -102,11 +102,6 @@ class BuildRecord:
     #: the new benchmark dimension; numpy-vs-pure records sit side by
     #: side in the BENCH JSONs, distinguished by this field.
     backend: str = field(default_factory=backend.active)
-    #: The engine's own build telemetry when it exposes any (e.g.
-    #: ``HubLabelIndex.build_info``: worker count, band shape, and the
-    #: PR-9 pipelined-sync record — shm/pipe bytes, overlap fraction).
-    #: ``None`` for engines without an instrumented build.
-    build_info: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -363,7 +358,6 @@ def build_engine(
         m=graph.m,
         build_seconds=build_seconds,
         index_size=engine.index_size(),
-        build_info=getattr(engine, "build_info", None),
     )
     if use_cache:
         _ENGINE_CACHE[key] = (engine, record)

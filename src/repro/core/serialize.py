@@ -45,6 +45,11 @@ plus the shortcut-middle triples that path unpacking needs::
     backward: same layout
     middles:  count (int64), a (int64), b (int64), mid (int64)
 
+The loader checks each HL1 side once (heads, hub range and order per
+node, roots, parents within the node's own label, no parent cycle) and
+raises :class:`BundleCorrupted` on a malformed one, so the query
+kernels never index by a bad value.
+
 ``HL2`` is the **compact** hub-label section (the default writer since
 the compact-column PR) — same information, ~3-4x fewer bytes, decoded
 back to exact values so queries are bit-identical to the flat path::
@@ -164,8 +169,6 @@ __all__ = [
     "inspect_bundle",
     "pack_requests",
     "unpack_requests",
-    "pack_label_entries",
-    "unpack_label_entries",
     "main",
 ]
 
@@ -620,6 +623,47 @@ def _read_label_side(fh, n: int) -> Tuple:
     return head, hub, dist, parent
 
 
+def _check_hl1_side(side: Tuple, n: int) -> None:
+    """Raise ``BundleCorrupted("HLIDX1", ...)`` unless one flat label
+    side is well-formed: heads run from 0 to the entry count without
+    decreasing, each row's hubs strictly increase within ``[0, n)``,
+    each root entry is its own node, every other parent is a hub of the
+    same row, and parents form no cycle.  The query kernels (the C tier
+    included) index by these values unchecked."""
+    head, hub, _, parent = side
+    total = len(hub)
+    if head[0] != 0 or head[n] != total:
+        raise BundleCorrupted("HLIDX1", "label heads do not span the entries")
+    pabs = [-1] * total  # absolute parent index, for the cycle check
+    for u in range(n):
+        lo, hi = head[u], head[u + 1]
+        if not lo <= hi <= total:
+            raise BundleCorrupted("HLIDX1", "label heads out of order")
+        prev = -1
+        for k in range(lo, hi):
+            h = hub[k]
+            if not prev < h < n:
+                raise BundleCorrupted(
+                    "HLIDX1", "hub ids out of range or not strictly increasing"
+                )
+            prev = h
+        for k in range(lo, hi):
+            p = parent[k]
+            if p == -1:
+                if hub[k] != u:
+                    raise BundleCorrupted(
+                        "HLIDX1", "label root is not its own node"
+                    )
+                continue
+            j = bisect_left(hub, p, lo, hi)
+            if j == hi or hub[j] != p:
+                raise BundleCorrupted(
+                    "HLIDX1", "parent is not a hub of the same label row"
+                )
+            pabs[k] = j
+    _parent_order(pabs, "HLIDX1")  # raises on a parent cycle
+
+
 def save_hl_index(
     index: HubLabelIndex, sink: Union[str, BinaryIO], *, compact: bool = True
 ) -> None:
@@ -714,6 +758,8 @@ def _load_hl_body(fh: BinaryIO, graph: Graph) -> HubLabelIndex:
         )
     fwd = _read_label_side(fh, n)
     bwd = _read_label_side(fh, n)
+    _check_hl1_side(fwd, n)
+    _check_hl1_side(bwd, n)
     (mcount,) = struct.unpack("<q", _read_exact(fh, 8))
     a_col = _read_q_array(fh, mcount).tolist()
     b_col = _read_q_array(fh, mcount).tolist()
@@ -1135,7 +1181,7 @@ def _decode_label_side(fh, n: int) -> Tuple:
                 raise _hl2_corrupt("label root is not its own node")
     if hubs and max(hubs) >= n:
         raise _hl2_corrupt("hub id past the node count")
-    order = _parent_order(pabs)  # raises on a parent cycle
+    order = _parent_order(pabs, "HLIDX2")  # raises on a parent cycle
     if enc == _DIST_DD:
         values, codes = _read_dd_head(fh, count)
         values = values.tolist()
@@ -1150,8 +1196,9 @@ def _decode_label_side(fh, n: int) -> Tuple:
     return array("i", heads), array("i", hubs), dist, array("i", parents), enc
 
 
-def _parent_order(pabs: List[int]) -> List[int]:
-    """Every entry, parents before children; raises on a parent cycle."""
+def _parent_order(pabs: List[int], section: str) -> List[int]:
+    """Every entry, parents before children; raises
+    ``BundleCorrupted(section, ...)`` on a parent cycle."""
     count = len(pabs)
     order: List[int] = []
     done = bytearray(count)
@@ -1164,7 +1211,7 @@ def _parent_order(pabs: List[int]) -> List[int]:
             chain.append(x)
             x = pabs[x]
             if len(chain) > count:
-                raise _hl2_corrupt("parent positions form a cycle")
+                raise BundleCorrupted(section, "parent positions form a cycle")
         for j in reversed(chain):
             done[j] = 1
             order.append(j)
@@ -1257,21 +1304,17 @@ def _decode_label_side_np(fh, n: int) -> Tuple:
 
 
 # ----------------------------------------------------------------------
-# Worker-tier column transport (request lanes + build-band sync chunks)
+# Worker-tier column transport (request lanes)
 # ----------------------------------------------------------------------
-# Transient wire formats for repro.serve.pool: same uvarint / width
+# Transient wire format for repro.serve.pool: same uvarint / width
 # discipline as HL2, but never written to disk — a dispatcher packs a
-# planner sub-batch (or a build worker packs a band's label entries)
-# into one flat block, ships it through a shared-memory lane, and the
-# other side reconstructs exact values.  Pure-Python loops over plain
-# ints/floats keep the bytes identical under both backends.
+# planner sub-batch into one flat block, ships it through a
+# shared-memory lane, and the worker reconstructs exact values.
+# Pure-Python loops over plain ints keep the bytes identical under both
+# backends.
 
 #: Request kind codes in the REQCOL block (order is part of the format).
 _REQ_DISTANCE, _REQ_ONE_TO_MANY, _REQ_TABLE = 0, 1, 2
-
-#: Label-chunk distance encodings: raw float64, or uvarint when every
-#: distance is a non-negative integral (int -> float64 is exact there).
-_CHUNK_F8, _CHUNK_UV = 0, 1
 
 
 def pack_requests(requests) -> Optional[bytes]:
@@ -1382,114 +1425,6 @@ def unpack_requests(blob) -> List[Request]:
             ipos += ns + nt
         else:
             raise ValueError(f"unknown REQCOL request kind {code}")
-    return out
-
-
-def pack_label_entries(entries) -> bytes:
-    """Build-band label entries -> one packed LBLCHUNK block.
-
-    ``entries`` is the build workers' sync unit: ``(u, fwd, bwd)`` per
-    node, each side a hub-ascending list of ``(hub, dist, parent)``
-    tuples whose parent is either ``-1`` (root) or a hub of the *same*
-    side (the pruning invariant — see ``_pruned_upward_labels``).  The
-    block stores hubs as first-absolute-then-``delta-1`` uvarints and
-    parents as 1-based in-slice positions, exactly like HL2; distances
-    ride as raw float64, or as uvarints when every value is integral
-    (bit-exact either way).  Replaces the pickled entry lists the
-    barrier-mode build broadcasts — same information, a fraction of the
-    bytes, and shareable through one shared-memory write.
-    """
-    stream = bytearray()
-    dists: List[float] = []
-    nnodes = 0
-    for u, f, b in entries:
-        nnodes += 1
-        _uvarint_append(stream, u)
-        _uvarint_append(stream, len(f))
-        _uvarint_append(stream, len(b))
-        for side in (f, b):
-            prev = -1
-            for hub, _, _ in side:
-                _uvarint_append(stream, hub - prev - 1)
-                prev = hub
-            hubs = [e[0] for e in side]
-            for hub, _, par in side:
-                if par < 0:
-                    _uvarint_append(stream, 0)
-                else:
-                    ppos = bisect_left(hubs, par)
-                    if ppos >= len(hubs) or hubs[ppos] != par:
-                        raise ValueError(
-                            f"label entry parent {par} of hub {hub} is not "
-                            "a kept hub of the same node"
-                        )
-                    _uvarint_append(stream, ppos + 1)
-            for _, d, _ in side:
-                dists.append(d)
-    enc = _CHUNK_UV
-    for d in dists:
-        if not (0.0 <= d <= 9007199254740992.0 and float(int(d)) == d):
-            enc = _CHUNK_F8
-            break
-    out = bytearray()
-    out.append(enc)
-    out += struct.pack("<q", nnodes)
-    out += struct.pack("<q", len(stream))
-    out += stream
-    if enc == _CHUNK_UV:
-        dstream = bytearray()
-        for d in dists:
-            _uvarint_append(dstream, int(d))
-        out += struct.pack("<q", len(dstream))
-        out += dstream
-    else:
-        out += struct.pack("<q", len(dists) * 8)
-        out += array("d", dists).tobytes()
-    return bytes(out)
-
-
-def unpack_label_entries(blob) -> List[tuple]:
-    """LBLCHUNK block -> ``(u, fwd, bwd)`` entry lists, exact round-trip."""
-    buf = memoryview(blob)
-    enc = buf[0]
-    (nnodes,) = struct.unpack_from("<q", buf, 1)
-    (nstream,) = struct.unpack_from("<q", buf, 9)
-    pos = 17
-    codes = _uvarint_decode(buf[pos : pos + nstream])
-    pos += nstream
-    (ndist,) = struct.unpack_from("<q", buf, pos)
-    pos += 8
-    if enc == _CHUNK_UV:
-        dvals = [float(v) for v in _uvarint_decode(buf[pos : pos + ndist])]
-    elif enc == _CHUNK_F8:
-        darr = array("d")
-        darr.frombytes(bytes(buf[pos : pos + ndist]))
-        dvals = darr.tolist()
-    else:
-        raise ValueError(f"unknown LBLCHUNK distance encoding {enc}")
-    out: List[tuple] = []
-    ci = 0
-    di = 0
-    for _ in range(nnodes):
-        u, nf, nb = codes[ci], codes[ci + 1], codes[ci + 2]
-        ci += 3
-        sides = []
-        for count in (nf, nb):
-            hubs: List[int] = []
-            prev = -1
-            for _ in range(count):
-                prev = prev + 1 + codes[ci]
-                ci += 1
-                hubs.append(prev)
-            entries = []
-            for k in range(count):
-                p = codes[ci]
-                ci += 1
-                par = -1 if p == 0 else hubs[p - 1]
-                entries.append((hubs[k], dvals[di], par))
-                di += 1
-            sides.append(entries)
-        out.append((u, sides[0], sides[1]))
     return out
 
 

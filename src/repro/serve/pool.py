@@ -64,17 +64,6 @@ sub-batch of the same dispatch completes normally, in-flight replies
 are always drained so pipes never desynchronise, and the pool ends the
 dispatch with a full complement of live workers.
 
-The same :class:`WorkerHandle` substrate (process + duplex pipe +
-ready-handshake + respawn) also runs the **parallel hub-label build**:
-:class:`repro.baselines.hl.HubLabelIndex` fans rank bands out to
-``build``-role workers (see :func:`build_worker_handles` and the build
-loop below), which hold the upward search graphs and a growing replica
-of the finished labels, and return per-node label entries band by band.
-In the pipelined build those entries travel as packed LBLCHUNK columns
-through a shared sync ring instead of pickled lists, and the sync
-broadcast for band *b* overlaps band *b+1*'s compute (see
-``repro.baselines.hl._build_labels_parallel``).
-
 Everything here is synchronous; :class:`repro.serve.Server` wires a
 pool in as its third execution tier by dispatching off-loop (the event
 loop keeps accepting submissions while workers compute).
@@ -113,7 +102,6 @@ __all__ = [
     "WorkerHandle",
     "WorkerPool",
     "WorkerStalled",
-    "build_worker_handles",
 ]
 
 #: Exit code a worker uses for the deliberate test-hook crash, so a
@@ -131,15 +119,13 @@ _LANE_BYTES_DEFAULT = 1 << 20
 
 
 class _Lane:
-    """One parent-owned shared-memory ring (reply, request, or sync).
+    """One parent-owned shared-memory ring (reply or request).
 
     The parent creates (and finally unlinks) the segment; the peer
     attaches by name and the writing side places each payload at a ring
     offset announced in a tiny pipe frame.  Every use is lockstep — at
-    most one payload per writer is live in its ring region at a time
-    (one in-flight sub-batch per serve worker; one band chunk per build
-    worker's double-buffered slice) — so no read/write barrier is
-    needed.
+    most one payload is live in a ring at a time (one in-flight
+    sub-batch per worker) — so no read/write barrier is needed.
     """
 
     __slots__ = ("shm", "size")
@@ -373,42 +359,37 @@ def _unpack_results(requests: Sequence[Request], blob) -> List[object]:
 # Worker process mains
 # ----------------------------------------------------------------------
 def _worker_main(conn, spec: dict) -> None:
-    """Entry point of every pool process; ``spec['role']`` selects the loop.
+    """Entry point of every pool process.
 
-    Boots, sends a ``("ready", n)`` handshake (so load errors surface at
-    spawn time in the parent, not as a hang), then serves commands until
-    ``("stop",)`` or parent death (EOF).
+    Boots its engine replica from the bundle spec, sends a ``("ready",
+    n)`` handshake (so load errors surface at spawn time in the parent,
+    not as a hang), then serves commands until ``("stop",)`` or parent
+    death (EOF).
     """
     try:
         if spec.get("backend"):
             backend.force_backend(spec["backend"])
-        if spec["role"] == "serve":
-            from ..baselines.base import QueryPlanner
-            from ..core.serialize import load_bundle
+        from ..baselines.base import QueryPlanner
+        from ..core.serialize import load_bundle
 
-            path = spec.get("bundle_path")
-            if path is not None:
-                graph, engine = load_bundle(path, mmap=spec.get("mmap", True))
-            else:
-                graph, engine = load_bundle(spec["bundle"])
-            planner = QueryPlanner(engine)
-            lane_cfg = spec.get("lane")
-            lane = _attach_lane(lane_cfg) if lane_cfg is not None else None
-            req_cfg = spec.get("req_lane")
-            req_lane = _attach_lane(req_cfg) if req_cfg is not None else None
-            conn.send(("ready", graph.n))
-            _serve_loop(
-                conn,
-                planner,
-                lane,
-                lane_cfg["size"] if lane_cfg else 0,
-                req_lane,
-            )
-        elif spec["role"] == "build":
-            conn.send(("ready", spec["n"]))
-            _build_loop(conn, spec)
+        path = spec.get("bundle_path")
+        if path is not None:
+            graph, engine = load_bundle(path, mmap=spec.get("mmap", True))
         else:
-            raise ValueError(f"unknown worker role {spec['role']!r}")
+            graph, engine = load_bundle(spec["bundle"])
+        planner = QueryPlanner(engine)
+        lane_cfg = spec.get("lane")
+        lane = _attach_lane(lane_cfg) if lane_cfg is not None else None
+        req_cfg = spec.get("req_lane")
+        req_lane = _attach_lane(req_cfg) if req_cfg is not None else None
+        conn.send(("ready", graph.n))
+        _serve_loop(
+            conn,
+            planner,
+            lane,
+            lane_cfg["size"] if lane_cfg else 0,
+            req_lane,
+        )
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass  # parent went away; nothing to report to
     except Exception as exc:  # boot failure: tell the parent, then exit
@@ -529,101 +510,6 @@ def _serve_loop(
             conn.send(("err", ValueError(f"unknown worker op {op!r}")))
 
 
-def _build_loop(conn, spec: dict) -> None:
-    """Parallel hub-label build worker: bands in, label entries out.
-
-    Holds the contraction's upward graphs plus a local replica of every
-    finished label (grown by sync broadcasts), so each ``band`` command
-    runs the exact pruned upward searches the serial build runs — same
-    inputs, same entries, byte-identical flattened columns.
-
-    Two protocols share the loop.  The **barrier** build (the A/B
-    baseline) sends ``("band", nodes)`` and gets pickled entry lists
-    back, then fences each band with an acked pickled ``("sync",
-    entries)``.  The **pipelined** build sends ``("band", nodes,
-    offset, limit)``: the worker packs its chunk into LBLCHUNK columns
-    (:func:`repro.core.serialize.pack_label_entries`), writes it into
-    its designated slice of the shared sync ring when it fits, and
-    replies with a tiny ``("okb", offset, nbytes, crc, elapsed)`` frame
-    (``("okp", blob, crc, elapsed)`` when oversized or laneless).  Peer
-    chunks arrive as un-acked ``("syncl"/"syncp", ...)`` relays — pipe
-    FIFO order makes the next ``band`` command the fence, which is what
-    lets band *b*'s broadcast overlap band *b+1*'s compute.
-    """
-    from ..baselines.hl import _pruned_upward_labels
-    from ..core.serialize import pack_label_entries, unpack_label_entries
-    from ..graph.workspace import SearchWorkspace
-
-    up_out, up_in, n = spec["up_out"], spec["up_in"], spec["n"]
-    lane_cfg = spec.get("sync_lane")
-    lane = _attach_lane(lane_cfg) if lane_cfg is not None else None
-    fwd: List[Optional[list]] = [None] * n
-    bwd: List[Optional[list]] = [None] * n
-    ws = SearchWorkspace(n)
-    while True:
-        msg = _recv_command(conn)
-        op = msg[0]
-        if op == "stop":
-            conn.send(("bye",))
-            return
-        if op == "band":
-            t0 = time.perf_counter()
-            out = []
-            for u in msg[1]:
-                f = _pruned_upward_labels(u, up_out, bwd, ws)
-                b = _pruned_upward_labels(u, up_in, fwd, ws)
-                fwd[u] = f
-                bwd[u] = b
-                out.append((u, f, b))
-            elapsed = time.perf_counter() - t0
-            if len(msg) == 2:  # barrier mode: pickled entry lists
-                conn.send(("ok", out, elapsed))
-                continue
-            offset, limit = msg[2], msg[3]
-            blob = pack_label_entries(out)
-            crc = zlib.crc32(blob)
-            if lane is not None and len(blob) <= limit:
-                lane.buf[offset : offset + len(blob)] = blob
-                conn.send(("okb", offset, len(blob), crc, elapsed))
-            else:
-                conn.send(("okp", blob, crc, elapsed))
-        elif op == "sync":
-            for u, f, b in msg[1]:
-                fwd[u] = f
-                bwd[u] = b
-            conn.send(("ok",))
-        elif op in ("syncl", "syncp"):
-            if op == "syncl":
-                _, offset, nbytes, crc = msg
-                blob = (
-                    bytes(lane.buf[offset : offset + nbytes])
-                    if lane is not None
-                    else b""
-                )
-            else:
-                _, blob, crc = msg
-            if zlib.crc32(blob) != crc:
-                # There is no ack round to carry this back on; the err
-                # frame surfaces at the parent's next recv from this
-                # worker (its band-reply slot), failing the build typed
-                # instead of silently diverging label replicas.
-                conn.send(
-                    (
-                        "err",
-                        ReplyCorrupted(
-                            f"build sync chunk failed CRC32 "
-                            f"({len(blob)} bytes via {op!r})"
-                        ),
-                    )
-                )
-                continue
-            for u, f, b in unpack_label_entries(blob):
-                fwd[u] = f
-                bwd[u] = b
-        else:
-            conn.send(("err", ValueError(f"unknown build op {op!r}")))
-
-
 def _default_context_name() -> str:
     """``fork`` where the platform offers it (cheap respawn, no spec
     pickling), else ``spawn``."""
@@ -632,7 +518,7 @@ def _default_context_name() -> str:
 
 
 # ----------------------------------------------------------------------
-# WorkerHandle: one process + pipe + respawn — the shared substrate
+# WorkerHandle: one process + pipe + respawn
 # ----------------------------------------------------------------------
 #: Upper bound on a worker's boot (spawn -> ready handshake).  Bounded
 #: because a respawn can fork from a multi-threaded parent (the pool
@@ -643,11 +529,11 @@ def _default_context_name() -> str:
 #: fork-with-threads entirely, at the cost of re-importing per spawn.)
 _BOOT_TIMEOUT_S = 120.0
 
-#: Default recv watchdog when the caller passes no explicit timeout.
-#: Generous — it backstops the parallel *build* loop, whose bands on a
-#: loaded box legitimately take a while — but finite, so no caller of
-#: :meth:`WorkerHandle.recv` can ever wait on a pipe unboundedly.  The
-#: serving pool overrides it per dispatch with ``recv_timeout_s``.
+#: Default recv watchdog when the caller passes no explicit timeout
+#: (e.g. the per-worker ``stats`` round-trip).  Generous, but finite,
+#: so no caller of :meth:`WorkerHandle.recv` can ever wait on a pipe
+#: unboundedly.  The serving pool overrides it per dispatch with
+#: ``recv_timeout_s``.
 _RECV_TIMEOUT_S = 600.0
 
 
@@ -655,7 +541,7 @@ class WorkerHandle:
     """One worker process with a duplex pipe and a respawn recipe.
 
     The spec is kept so :meth:`respawn` can boot an identical
-    replacement after a crash — for serve workers that means reloading
+    replacement after a crash — reloading
     the engine replica from the same bundle.  All pipe errors are
     normalised to :class:`WorkerCrashed` so callers have exactly one
     failure mode to handle; a boot that neither fails nor reports ready
@@ -798,38 +684,6 @@ class WorkerHandle:
             except (BrokenPipeError, EOFError, OSError):
                 pass
         self._discard()
-
-
-def build_worker_handles(
-    n: int,
-    up_out,
-    up_in,
-    workers: int,
-    mp_context: Optional[str] = None,
-    backend_name: Optional[str] = None,
-    sync_lane: Optional[dict] = None,
-) -> List[WorkerHandle]:
-    """Spawn ``workers`` build-role handles sharing one upward-graph spec.
-
-    Under the default ``fork`` context the upward graphs are inherited
-    copy-on-write (no pickling); under ``spawn`` they are pickled once
-    per worker.  ``sync_lane`` (a ``{"name", "size"}`` dict for a
-    parent-owned :class:`_Lane`) is the pipelined build's shared sync
-    ring — every worker attaches the *same* segment, each writing only
-    its designated slice.  Used by the parallel
-    :class:`~repro.baselines.hl.HubLabelIndex` build.
-    """
-    ctx = multiprocessing.get_context(mp_context or _default_context_name())
-    spec = {
-        "role": "build",
-        "n": n,
-        "up_out": up_out,
-        "up_in": up_in,
-        "backend": backend_name or backend.active(),
-    }
-    if sync_lane is not None:
-        spec["sync_lane"] = sync_lane
-    return [WorkerHandle(spec, ctx) for _ in range(workers)]
 
 
 # ----------------------------------------------------------------------
@@ -994,10 +848,7 @@ class WorkerPool:
             breaker if breaker is not None else CircuitBreaker(workers)
         )
         self._fault_plan = fault_plan
-        spec: Dict[str, object] = {
-            "role": "serve",
-            "backend": backend_name or backend.active(),
-        }
+        spec: Dict[str, object] = {"backend": backend_name or backend.active()}
         if isinstance(bundle, str):
             spec["bundle_path"] = bundle
             spec["mmap"] = mmap

@@ -556,45 +556,3 @@ def test_request_chaos_never_wrong_answer(graph, hl, blob, seed):
     finally:
         pool.close()
     _assert_no_leaks(pool, shm)
-
-
-# ----------------------------------------------------------------------
-# Pipelined build under crashes: typed failure, clean teardown, restartable
-# ----------------------------------------------------------------------
-def test_pipelined_build_crash_mid_sync_typed_and_restartable(monkeypatch):
-    """A build worker killed while band commands / sync relays are in
-    flight surfaces as a typed WorkerCrashed (no hang — the build recv
-    is watchdog-bounded), tears down cleanly, and a rerun reproduces
-    the serial bytes exactly."""
-    import repro.serve.pool as pool_mod
-
-    g = grid_city(6, 6, seed=8)
-    serial = bundle_bytes(HubLabelIndex(g))
-    real = pool_mod.build_worker_handles
-    lanes = []
-    real_lane = pool_mod._Lane
-
-    class _TrackedLane(real_lane):
-        def __init__(self, size):
-            super().__init__(size)
-            lanes.append(self.name)
-
-    def sabotaged(*args, **kwargs):
-        handles = real(*args, **kwargs)
-        os.kill(handles[0].process.pid, signal.SIGKILL)
-        return handles
-
-    monkeypatch.setattr(pool_mod, "build_worker_handles", sabotaged)
-    monkeypatch.setattr(pool_mod, "_Lane", _TrackedLane)
-    with pytest.raises(WorkerCrashed):
-        HubLabelIndex(g, build_workers=2, band_min=2)
-    monkeypatch.undo()
-    assert lanes  # the sync ring existed ...
-    for name in lanes:  # ... and did not outlive the failed build
-        with pytest.raises(FileNotFoundError):
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()  # pragma: no cover - only reached on a leak
-    # builds are restartable: a clean rerun is byte-identical to serial
-    rebuilt = HubLabelIndex(g, build_workers=2, band_min=2)
-    assert bundle_bytes(rebuilt) == serial
-    assert rebuilt.build_info["pipeline"] is True

@@ -291,6 +291,73 @@ def test_malformed_side_raises_typed(pair_graph, name, case):
 
 
 # ----------------------------------------------------------------------
+# Malformed HL1 (flat) sides: the same typed errors at load
+# ----------------------------------------------------------------------
+def _hl1_side(head=(0, 2, 3), hub=(0, 1, 1), parent=(-1, 0, -1)):
+    """One crafted HL1 direction of a 2-node graph.
+
+    The defaults are the valid twin of :func:`_side`: node 0 holds hubs
+    0 and 1 (hub 1's parent is hub 0), node 1 holds hub 1 alone.
+    """
+    return (
+        array("q", head).tobytes()
+        + struct.pack("<q", len(hub))
+        + array("q", hub).tobytes()
+        + array("d", [0.0, 2.5, 0.0][: len(hub)]).tobytes()
+        + array("q", parent).tobytes()
+    )
+
+
+def _hl1_file(side: bytes) -> bytes:
+    """An HLIDX1 index with ``side`` as both directions, no middles."""
+    return b"HLIDX1\n" + struct.pack("<q", 2) + side + side + struct.pack("<q", 0)
+
+
+#: Each crafted side must fail with BundleCorrupted at load instead of
+#: answering wrong, or failing untyped, at query time.
+MALFORMED_HL1_SIDES = {
+    "head_not_zero": dict(head=(1, 2, 3)),
+    "head_past_count": dict(head=(0, 2, 4)),
+    "head_short_of_count": dict(head=(0, 2, 2)),
+    "heads_decrease": dict(head=(0, 4, 3)),
+    "hub_past_node_count": dict(hub=(0, 5, 1)),
+    "negative_hub": dict(hub=(-1, 0, 1), parent=(0, -1, -1)),
+    "hubs_not_increasing": dict(hub=(1, 0, 1), parent=(0, -1, -1)),
+    "duplicate_hub": dict(hub=(0, 0, 1), parent=(-1, -1, -1)),
+    "root_not_own_node": dict(parent=(-1, -1, -1)),
+    "parent_not_in_row": dict(parent=(-1, 0, 0)),
+    "parent_below_minus_one": dict(parent=(-1, -2, -1)),
+    "parent_past_node_count": dict(parent=(-1, 7, -1)),
+    "parent_is_itself": dict(parent=(-1, 1, -1)),
+    "parent_cycle": dict(parent=(1, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("source", ["buffer", "file"])
+@pytest.mark.parametrize("name", BACKENDS)
+def test_crafted_hl1_side_loads(pair_graph, name, source):
+    blob = _hl1_file(_hl1_side())
+    with backend.forced(name):
+        index = load_hl_index(
+            blob if source == "buffer" else io.BytesIO(blob), pair_graph
+        )
+        assert index.distance(0, 1) == 2.5
+    assert index.fwd_hub.tolist() == [0, 1, 1]
+    assert index.fwd_parent.tolist() == [-1, 0, -1]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HL1_SIDES))
+@pytest.mark.parametrize("source", ["buffer", "file"])
+@pytest.mark.parametrize("name", BACKENDS)
+def test_malformed_hl1_side_raises_typed(pair_graph, name, source, case):
+    blob = _hl1_file(_hl1_side(**MALFORMED_HL1_SIDES[case]))
+    src = blob if source == "buffer" else io.BytesIO(blob)
+    with backend.forced(name), pytest.raises(BundleCorrupted) as err:
+        load_hl_index(src, pair_graph)
+    assert err.value.section == "HLIDX1"
+
+
+# ----------------------------------------------------------------------
 # The exactness guard, property-level (hypothesis-pinned)
 # ----------------------------------------------------------------------
 @settings(

@@ -1,12 +1,10 @@
-"""Tests for the multi-process worker tier (PR 5).
+"""Tests for the multi-process worker tier.
 
 Four load-bearing properties:
 
 * **Pool exactness**: for any request mix, ``WorkerPool.execute`` is
   bit-identical to the single-process ``QueryPlanner`` path, with the
   worker replicas running either backend (hypothesis-pinned).
-* **Parallel build identity**: ``HubLabelIndex(build_workers=N)``
-  produces byte-for-byte the serial build's bundle on every graph.
 * **Crash containment**: a killed worker is respawned from the bundle
   and its in-flight sub-batch retried (transparent) or failed cleanly
   (poisonous batch) — never hung, never poisoning batch-mates, never
@@ -14,7 +12,7 @@ Four load-bearing properties:
 * **Buffer/mmap serialization**: bundles load from bytes and mmap'd
   paths with zero-copy label columns, answer identically, and re-save
   byte-identically.
-* **Reply-lane lifecycle** (PR 6): the shared-memory reply path answers
+* **Reply- and request-lane lifecycle**: the shared-memory reply path answers
   exactly like the pipe path, oversized replies degrade to the pipe,
   lanes survive worker crash + respawn with a reply in flight, and
   ``close`` unlinks every segment — nothing outlives the pool in
@@ -38,8 +36,6 @@ from repro.baselines.base import (
     QueryPlanner,
     TableRequest,
 )
-from repro.baselines.ch import contract_graph
-from repro.baselines.hl import _rank_bands
 from repro.bench.harness import run_open_loop
 from repro.core.serialize import bundle_bytes, load_bundle, save_bundle
 from repro.datasets import grid_city
@@ -547,82 +543,6 @@ def test_server_close_pool_flag(blob):
     asyncio.run(main())
     with pytest.raises(RuntimeError):
         pool.execute([DistanceRequest(0, 1)])
-
-
-# ----------------------------------------------------------------------
-# Parallel label build
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [2, 3])
-def test_parallel_build_byte_identical(workers):
-    for seed in (8, 21):
-        g = grid_city(5, 5, seed=seed)
-        serial = HubLabelIndex(g)
-        parallel = HubLabelIndex(g, build_workers=workers)
-        assert bundle_bytes(serial) == bundle_bytes(parallel)
-        assert parallel.build_info["mode"] == "parallel"
-        assert parallel.build_info["workers"] == workers
-
-
-def test_parallel_build_shares_contraction(graph):
-    res = contract_graph(graph)
-    serial = HubLabelIndex(graph, contraction=res)
-    parallel = HubLabelIndex(graph, contraction=res, build_workers=2)
-    assert bundle_bytes(serial) == bundle_bytes(parallel)
-    assert serial.build_info["mode"] == "serial"
-
-
-def test_band_min_knob_byte_identity():
-    """Any parallelism threshold produces the serial bytes exactly."""
-    g = grid_city(5, 5, seed=8)
-    serial = bundle_bytes(HubLabelIndex(g))
-    for band_min in (1, 10_000):
-        parallel = HubLabelIndex(g, build_workers=2, band_min=band_min)
-        assert bundle_bytes(parallel) == serial
-        assert parallel.build_info["band_min"] == band_min
-    with pytest.raises(ValueError):
-        HubLabelIndex(g, build_workers=2, band_min=0)
-
-
-def test_build_pipeline_toggle_byte_identical():
-    """Pipelined and barrier builds both reproduce the serial bytes."""
-    g = grid_city(5, 5, seed=21)
-    serial = bundle_bytes(HubLabelIndex(g))
-    # band_min=2 routes nearly every band through the workers, so the
-    # packed-chunk broadcast path is actually exercised on this grid
-    piped = HubLabelIndex(g, build_workers=2, band_min=2)
-    barrier = HubLabelIndex(g, build_workers=2, build_pipeline=False, band_min=2)
-    assert bundle_bytes(piped) == serial
-    assert bundle_bytes(barrier) == serial
-    assert piped.build_info["pipeline"] is True
-    assert barrier.build_info["pipeline"] is False
-    sync = piped.build_info["sync"]
-    assert {
-        "shm_bytes",
-        "pipe_bytes",
-        "oversized_chunks",
-        "overlap_fraction",
-    } <= set(sync)
-    assert 0.0 <= sync["overlap_fraction"] <= 1.0
-    # the pipelined broadcast moves its bulk through the sync ring
-    assert sync["shm_bytes"] > 0
-    assert sync["pipe_bytes"] < barrier.build_info["sync"]["pipe_bytes"]
-
-
-def test_rank_bands_structure(graph):
-    """Bands partition the nodes; upward edges only cross to earlier bands."""
-    res = contract_graph(graph)
-    by_rank = [0] * graph.n
-    for node, r in enumerate(res.rank):
-        by_rank[r] = node
-    bands = _rank_bands(res, by_rank)
-    seen = sorted(u for band in bands for u in band)
-    assert seen == list(range(graph.n))
-    band_of = {u: i for i, band in enumerate(bands) for u in band}
-    for u in range(graph.n):
-        for v, _, _ in res.up_out[u]:
-            assert band_of[v] < band_of[u]
-        for v, _, _ in res.up_in[u]:
-            assert band_of[v] < band_of[u]
 
 
 # ----------------------------------------------------------------------
